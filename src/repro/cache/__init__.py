@@ -8,9 +8,9 @@ sets keyed on the *normalized* query shape plus the data version the
 rows were computed under, so a repeated hot read is a dict probe.
 
 Invalidation is exact and free: every write transaction already bumps a
-version (``rdf_serve_state$`` write_version on the server, the
-connection ``data_version`` in process, the per-shard version vector on
-a sharded engine).  A lookup under a newer version drops the entry —
+version (the queried models' ``rdf_model_version$`` rows on the server,
+the connection ``data_version`` in process, the per-shard version
+vector on a sharded engine).  A lookup under a newer version drops the entry —
 the same idiom as the plan cache, extended with a byte cap because
 result sets, unlike plans, can be large.
 

@@ -9,7 +9,9 @@ invalidation exact without any write-path bookkeeping.
 
 Versions are opaque: the in-process tier keys on the connection's
 ``data_version`` int, the server tier on the durable
-``rdf_serve_state$`` write_version, and the sharded tier on the whole
+``(model_id, version)`` of each queried model (the
+``rdf_serve_state$`` write_version for rulebase queries), and the
+sharded tier on the whole
 per-shard version *vector* (a tuple), so a write to any shard
 invalidates.  The cache never compares versions for order — only
 equality — which is what makes the vector form work unchanged.
@@ -120,7 +122,7 @@ class ResultCache:
 
     One instance fronts one store (attached via
     ``store.attach_result_cache``) or one server (shared across the
-    pooled readers, keyed on the durable write_version).  Values are
+    pooled readers, keyed on durable versions).  Values are
     whatever the tier serves — MatchRow lists in process, pre-encoded
     JSON response bodies on the server — the cache never inspects
     them beyond sizing.

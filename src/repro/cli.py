@@ -826,7 +826,8 @@ def _replica(args: argparse.Namespace, store: RDFStore, out) -> int:
         print(f"  {name}: {entry['triples']} triples, "
               f"{entry['predicates']} predicates, "
               f"{entry['bytes']} bytes, "
-              f"version {entry['model_version']} ({freshness})",
+              f"version {entry['model_version']} ({freshness}), "
+              f"built in {entry['last_build_ms']} ms",
               file=out)
     if not status["models"]:
         warmable = ", ".join(sorted(names)) or "(no models)"

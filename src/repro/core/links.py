@@ -64,6 +64,20 @@ class Context(str, Enum):
     INDIRECT = "I"
 
 
+def bump_model_version(database: "Database", model_id: int) -> None:
+    """Advance ``model_id``'s row in ``rdf_model_version$``.
+
+    Runs inside the caller's write transaction.  The row outlives the
+    model: ``rdf_model$`` can hand a dropped model's id to the next
+    model created, so create and drop bump it too, and a
+    ``(model_id, version)`` pair is never reused for different triples.
+    """
+    database.execute(
+        f'INSERT INTO "{MODEL_VERSION_TABLE}" (model_id, version) '
+        "VALUES (?, 1) ON CONFLICT (model_id) "
+        "DO UPDATE SET version = version + 1", (model_id,))
+
+
 @dataclass(frozen=True, slots=True)
 class LinkRow:
     """One materialised rdf_link$ row."""
@@ -198,17 +212,7 @@ class LinkStore:
     def bump_model_version(self, model_id: int) -> None:
         """Advance a model's write version (inside the caller's
         transaction, so it commits or rolls back with the change)."""
-        self._db.execute(
-            f'INSERT INTO "{MODEL_VERSION_TABLE}" (model_id, version) '
-            "VALUES (?, 1) ON CONFLICT (model_id) "
-            "DO UPDATE SET version = version + 1", (model_id,))
-
-    def drop_model_version(self, model_id: int) -> None:
-        """Forget a dropped model's version row."""
-        if self._db.table_exists(MODEL_VERSION_TABLE):
-            self._db.execute(
-                f'DELETE FROM "{MODEL_VERSION_TABLE}" '
-                "WHERE model_id = ?", (model_id,))
+        bump_model_version(self._db, model_id)
 
     # ------------------------------------------------------------------
     # mutation

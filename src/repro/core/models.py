@@ -12,7 +12,8 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from repro.core.schema import LINK_TABLE, MODEL_TABLE, MODEL_VERSION_TABLE
+from repro.core.links import bump_model_version
+from repro.core.schema import LINK_TABLE, MODEL_TABLE
 from repro.errors import ModelError, ModelExistsError, ModelNotFoundError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -65,6 +66,7 @@ class ModelRegistry:
             (name, table_name, column_name))
         info = ModelInfo(int(cursor.lastrowid), name, table_name,
                          column_name)
+        bump_model_version(self._db, info.model_id)
         self._create_view(info)
         self._cache[name] = info
         self._db.bump_data_version()
@@ -86,13 +88,15 @@ class ModelRegistry:
         self._db.execute(
             f'DELETE FROM "{MODEL_TABLE}" WHERE model_id = ?',
             (info.model_id,))
-        if self._db.table_exists(MODEL_VERSION_TABLE):
-            self._db.execute(
-                f'DELETE FROM "{MODEL_VERSION_TABLE}" '
-                "WHERE model_id = ?", (info.model_id,))
+        bump_model_version(self._db, info.model_id)
         self._cache.pop(info.model_name, None)
         self._db.bump_data_version()
         return info
+
+    def invalidate_cache(self) -> None:
+        """Forget cached model rows: another connection may have
+        dropped a model, or recreated it under a different id."""
+        self._cache.clear()
 
     def exists(self, model_name: str) -> bool:
         name = self._normalize(model_name)

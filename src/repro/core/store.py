@@ -243,10 +243,6 @@ class RDFStore(StorageEngine):
         targets = self.rules_maintenance_targets(model.model_name)
         if targets:
             self.run_rules_maintenance(targets, added, removed, model)
-        if self._replica is not None:
-            # Advisory only: the durable model version (bumped in this
-            # same transaction) is what actually gates freshness.
-            self._replica.note_delta(model.model_name)
 
     # ------------------------------------------------------------------
     # the in-memory read replica (see repro.replica, docs/replica.md)
@@ -289,8 +285,8 @@ class RDFStore(StorageEngine):
 
         The cache keys on this connection's ``data_version``, so it is
         coherent per store instance — pooled readers must share one
-        cache keyed on the durable write_version instead (the server
-        does; see :mod:`repro.server.app`).
+        cache keyed on durable versions instead (the server keys on
+        the queried models' versions; see :mod:`repro.server.app`).
         """
         from repro.cache import ResultCache
         self._result_cache = ResultCache(max_bytes=max_bytes)

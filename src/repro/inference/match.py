@@ -37,6 +37,7 @@ reference baseline.
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.errors import QueryError
@@ -316,6 +317,9 @@ def sdo_rdf_match(store: "RDFStore", query: str,
         parsed_patterns: list[TriplePattern] | None = None
         parsed_filter: FilterExpression | None = None
         validated = False
+        #: When the replica missed: the start of the SQL answer that
+        #: is billed to it (ReplicaManager.charge).
+        fallback_started: float | None = None
         if replica_eligible and not explain:
             # The exact parse + validation the SQL compile would do,
             # so the replica path raises identical QueryErrors —
@@ -370,6 +374,7 @@ def sdo_rdf_match(store: "RDFStore", query: str,
                     _store_result(result_cache, cache_key,
                                   cache_version, rows)
                 return rows
+            fallback_started = perf_counter()
             if observer.enabled:
                 observer.counter("match.replica_fallbacks").inc()
 
@@ -505,6 +510,8 @@ def sdo_rdf_match(store: "RDFStore", query: str,
             observer.metrics.histogram(
                 "match.rows", "result rows per query",
                 buckets=_COUNT_BUCKETS).observe(len(rows))
+        if fallback_started is not None:
+            replica_manager.charge(perf_counter() - fallback_started)
         if cache_key is not None:
             _store_result(result_cache, cache_key, cache_version, rows)
         return rows

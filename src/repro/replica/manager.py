@@ -16,9 +16,12 @@ Two refresh modes:
 * ``inline`` (embedded default) — a stale lease rebuilds the model's
   partitions on the spot, inside the leasing transaction, then serves.
 * ``fallback`` (the server) — a stale lease misses (the query falls
-  back to SQL on the same snapshot) and the model is queued for the
-  background refresher, which is woken by the pool's data_version
-  snoop via :meth:`ReplicaManager.note_commit`.
+  back to SQL on the same snapshot).  An absent replica is queued for
+  the background refresher at once; a stale or partly evicted one only
+  once the SQL time its misses cost (charged by ``sdo_rdf_match``
+  through :meth:`ReplicaManager.charge`) reaches the time its last
+  build took.  A model that is written often but read rarely is then
+  rebuilt rarely: the rebuild is paid for only when reads use it.
 
 Memory is accounted per partition (``PredicateIndex.nbytes``); when a
 byte cap is set, least-recently-used partitions are evicted first.  A
@@ -29,6 +32,7 @@ never depends on residency.
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Callable, ContextManager
 
@@ -92,11 +96,14 @@ class ReplicaMiss(Exception):
     catches it and falls back to the SQL engine.  ``kind`` says why:
     ``shape`` (query not eligible), ``absent``/``stale`` (no fresh
     replica and refresh mode forbids an inline build), ``evicted``
-    (a needed partition fell to the memory cap).
+    (a needed partition fell to the memory cap).  ``replica`` is the
+    resident replica a ``stale`` or ``evicted`` miss is billed to.
     """
 
-    def __init__(self, kind: str, message: str) -> None:
+    def __init__(self, kind: str, message: str,
+                 replica: "ModelReplica | None" = None) -> None:
         self.kind = kind
+        self.replica = replica
         super().__init__(message)
 
 
@@ -107,17 +114,20 @@ class ModelReplica:
     entries to eviction.  A predicate in the former but not the latter
     means *evicted* (fall back to SQL); absent from both means the
     snapshot genuinely had no such triples (an empty contribution).
+    ``build_ms`` is what the build cost; ``fallback_debt_ms`` is the
+    SQL time spent on this replica's stale or evicted misses so far.
     """
 
     __slots__ = ("model_name", "model_id", "model_version",
                  "data_version", "write_version", "predicate_ids",
-                 "sorted_predicates", "partitions", "triples")
+                 "sorted_predicates", "partitions", "triples",
+                 "build_ms", "fallback_debt_ms")
 
     def __init__(self, model_name: str, model_id: int,
                  model_version: int, data_version: int,
                  write_version: int,
                  partitions: dict[int, PredicateIndex],
-                 triples: int) -> None:
+                 triples: int, build_ms: float) -> None:
         self.model_name = model_name
         self.model_id = model_id
         self.model_version = model_version
@@ -127,6 +137,8 @@ class ModelReplica:
         self.predicate_ids = frozenset(partitions)
         self.sorted_predicates = tuple(sorted(partitions))
         self.triples = triples
+        self.build_ms = build_ms
+        self.fallback_debt_ms = 0.0
 
     @property
     def complete(self) -> bool:
@@ -148,6 +160,8 @@ class ModelReplica:
             "partitions": len(self.partitions),
             "bytes": self.nbytes,
             "complete": self.complete,
+            "last_build_ms": round(self.build_ms, 3),
+            "fallback_debt_ms": round(self.fallback_debt_ms, 3),
         }
 
     def __repr__(self) -> str:
@@ -188,6 +202,9 @@ class ReplicaManager:
             "refreshes": 0, "evictions": 0, "refresh_errors": 0,
         }
         self._executor = None
+        #: Per thread: the replica the last stale/evicted miss was
+        #: billed to, until :meth:`charge` settles it.
+        self._debtor = threading.local()
         self._wake = threading.Event()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
@@ -225,6 +242,7 @@ class ReplicaManager:
                 filter_expression=filter_expression,
                 order_by=order_by, limit=limit, token=token)
         except ReplicaMiss as miss:
+            self._debtor.replica = miss.replica
             with self._lock:
                 self._counters[
                     "fallbacks" if miss.kind == "shape" else "misses"
@@ -233,6 +251,32 @@ class ReplicaManager:
         with self._lock:
             self._counters["hits"] += 1
         return rows
+
+    def charge(self, seconds: float) -> None:
+        """Bill the SQL answer to this thread's last miss.
+
+        ``sdo_rdf_match`` calls this after answering a query that
+        :meth:`try_match` missed.  A stale or evicted miss adds the
+        time to its replica's ``fallback_debt_ms``; once the debt
+        reaches the replica's ``build_ms`` the model is queued for the
+        refresher (the ski-rental rule: keep renting SQL answers until
+        they have cost as much as buying a rebuild).  Shape and absent
+        misses carry no debtor and cost nothing here.
+        """
+        replica = getattr(self._debtor, "replica", None)
+        if replica is None:
+            return
+        self._debtor.replica = None
+        with self._lock:
+            if self._replicas.get(replica.model_name) is not replica:
+                return  # rebuilt or dropped since the miss
+            replica.fallback_debt_ms += seconds * 1000.0
+            if replica.fallback_debt_ms >= replica.build_ms:
+                self._queue_locked(replica.model_name)
+
+    def _queue_locked(self, model_name: str) -> None:
+        self._wanted.add(model_name)
+        self._wake.set()
 
     def would_serve(self, store: "RDFStore", model_name: str) -> bool:
         """Advisory freshness check for EXPLAIN (never builds).
@@ -267,7 +311,8 @@ class ReplicaManager:
         comparison and (in inline mode) the rebuild then see the same
         snapshot the query executes against.  Raises
         :class:`ReplicaMiss` in fallback mode when no fresh replica
-        exists, after queueing the model for the refresher; unknown
+        exists: an absent one is queued for the refresher at once, a
+        stale one is billed its fallback (see :meth:`charge`); unknown
         models raise :class:`~repro.errors.ModelNotFoundError` exactly
         like the SQL planner.
 
@@ -301,12 +346,14 @@ class ReplicaManager:
                     and replica.model_version == current:
                 return replica
             if self.refresh_mode != "inline":
-                self._wanted.add(info.model_name)
-                self._wake.set()
-                state = "absent" if replica is None else "stale"
+                if replica is None or replica.model_id != info.model_id:
+                    self._queue_locked(info.model_name)
+                    raise ReplicaMiss(
+                        "absent", f"no replica for model "
+                        f"{info.model_name!r} (store at v{current})")
                 raise ReplicaMiss(
-                    state, f"replica for model {info.model_name!r} is "
-                    f"{state} (store at v{current})")
+                    "stale", f"replica for model {info.model_name!r} is "
+                    f"stale (store at v{current})", replica)
             rebuilt = self._build(store, info)
             self._install_locked(rebuilt)
             return rebuilt
@@ -327,7 +374,8 @@ class ReplicaManager:
                     raise ReplicaMiss(
                         "evicted",
                         f"partition for predicate {predicate_id} of "
-                        f"model {replica.model_name!r} was evicted")
+                        f"model {replica.model_name!r} was evicted",
+                        replica)
                 return None
             self._lru.move_to_end((replica.model_name, predicate_id))
             return index
@@ -345,6 +393,7 @@ class ReplicaManager:
         rebuild shares the query's snapshot).
         """
         database = store.database
+        started = time.perf_counter()
         with database.transaction():
             version = store.links.model_version(info.model_id)
             partitions: dict[int, PredicateIndex] = {}
@@ -383,7 +432,8 @@ class ReplicaManager:
                 model_version=version,
                 data_version=database.data_version,
                 write_version=_serve_write_version(database),
-                partitions=partitions, triples=triples)
+                partitions=partitions, triples=triples,
+                build_ms=(time.perf_counter() - started) * 1000.0)
         with self._lock:
             self._counters["builds"] += 1
         return replica
@@ -441,12 +491,12 @@ class ReplicaManager:
 
     def refresh(self, store: "RDFStore",
                 model_name: str | None = None) -> list[str]:
-        """Rebuild every stale / incomplete / wanted model replica.
+        """Rebuild every stale / incomplete / queued model replica.
 
         Only models whose durable version moved (or that lost
-        partitions, or were queued by a fallback miss) rebuild — a
-        no-op write stream makes this a cheap version probe per model.
-        Returns the names rebuilt.  Dropped models are forgotten.
+        partitions, or were queued by a miss) rebuild — a no-op write
+        stream makes this a cheap version probe per model.  Returns the
+        names rebuilt.  Dropped models are forgotten.
         """
         with self._lock:
             names = ([model_name.lower()] if model_name is not None
@@ -489,27 +539,6 @@ class ReplicaManager:
             return dropped
 
     # ------------------------------------------------------------------
-    # write-stream notifications
-    # ------------------------------------------------------------------
-
-    def note_delta(self, model_name: str) -> None:
-        """A write to ``model_name`` committed in this process.
-
-        Freshness never depends on this call — the version gate
-        catches every write, local or remote — but queueing the model
-        lets the background refresher rebuild before the next query.
-        """
-        name = model_name.lower()
-        with self._lock:
-            if name in self._replicas:
-                self._wanted.add(name)
-        self._wake.set()
-
-    def note_commit(self) -> None:
-        """Some connection observed a data_version change (pool snoop)."""
-        self._wake.set()
-
-    # ------------------------------------------------------------------
     # the background refresher (server, refresh mode "fallback")
     # ------------------------------------------------------------------
 
@@ -519,9 +548,10 @@ class ReplicaManager:
         """Start the refresher daemon.
 
         ``acquire`` returns a context manager yielding a store to read
-        through (the server passes a pool lease).  The thread wakes on
-        :meth:`note_commit` / :meth:`note_delta` or every ``interval``
-        seconds, and rebuilds whatever :meth:`refresh` finds stale.
+        through (the server passes a pool lease).  The thread wakes
+        when a model is queued (an absent miss, or a stale replica
+        whose misses paid for a rebuild) or every ``interval``
+        seconds, and rebuilds the queued models only.
         """
         if self._thread is not None:
             return
@@ -547,12 +577,13 @@ class ReplicaManager:
                 break
             self._wake.clear()
             with self._lock:
-                pending = bool(self._wanted) or bool(self._replicas)
-            if not pending:
+                queued = sorted(self._wanted)
+            if not queued:
                 continue
             try:
                 with acquire() as store:
-                    self.refresh(store)
+                    for name in queued:
+                        self.refresh(store, name)
             except PoolTimeoutError:
                 # Pool saturated: retry on the next tick.
                 self._wake.set()

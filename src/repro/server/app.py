@@ -158,6 +158,7 @@ from repro.server.state import (
     bump_write_version,
     ensure_serve_state,
     lookup_idempotent,
+    read_versions,
     read_write_version,
     record_idempotent,
 )
@@ -174,21 +175,36 @@ class _CachedMatch:
     """One cached ``/match`` answer.
 
     ``rows``/``count`` are the JSON-ready payload (``/match/batch``
-    splices them into its own envelope); ``hit_body`` memoizes the
-    fully encoded ``/match`` hit response on first use, so steady-state
-    hits skip ``json.dumps`` entirely.  The bytes are identical for
-    every hit on this entry — the ``data_version`` in the body is part
-    of the version the entry is keyed under, so it cannot change while
-    the entry lives.  The unlocked lazy write is a benign race: two
-    threads encode the same bytes.
+    splices them into its own envelope).  :meth:`hit_body` memoizes the
+    encoded ``/match`` hit response on first use, all of it but the
+    trailing ``data_version``, so steady-state hits skip
+    ``json.dumps`` entirely.  The version is spliced in per hit: an
+    entry keyed on its models' versions outlives writes to other
+    models, and each hit reports the snapshot it was read at.
+    ``extra`` fields (the sharded version vector, which is the key
+    itself) are fixed for the entry's life.  The unlocked lazy write
+    is a benign race: two threads encode the same bytes.
     """
 
-    __slots__ = ("rows", "count", "hit_body")
+    __slots__ = ("rows", "count", "_hit_prefix")
 
     def __init__(self, rows: list, count: int) -> None:
         self.rows = rows
         self.count = count
-        self.hit_body: bytes | None = None
+        self._hit_prefix: bytes | None = None
+
+    def hit_body(self, data_version: int,
+                 extra: dict | None = None) -> bytes:
+        prefix = self._hit_prefix
+        if prefix is None:
+            fields = {"rows": self.rows, "count": self.count}
+            if extra:
+                fields.update(extra)
+            fields["cached"] = True
+            prefix = self._hit_prefix = (
+                json.dumps(fields)[:-1] + ', "data_version": '
+            ).encode("utf-8")
+        return b"%s%d}" % (prefix, data_version)
 
 
 @dataclass
@@ -249,16 +265,17 @@ class ServerConfig:
     :param replica: maintain one shared in-memory compressed read
         replica (``docs/replica.md``) across the read pool.  Eligible
         ``/match`` queries are answered from dict-encoded per-predicate
-        arrays; a stale replica falls back to SQL on the same snapshot
-        while a background refresher — woken by the pool's
-        ``data_version`` snoop — rebuilds it.  Incompatible with
+        arrays; a stale replica falls back to SQL on the same snapshot,
+        and a background refresher rebuilds it once those fallbacks
+        have cost as much as a rebuild.  Incompatible with
         ``shards > 1`` (VALUE_IDs are shard-local).
     :param replica_max_bytes: byte cap on the replica's resident
         partitions (LRU eviction); ``None`` means uncapped.
     :param result_cache: keep one shared
         :class:`~repro.cache.ResultCache` of complete ``/match``
         responses, keyed on the normalized query shape and the durable
-        serve-state write_version (the per-shard version *vector* in
+        versions of the queried models (the serve-state write_version
+        for rulebase queries, the per-shard version *vector* in
         sharded mode) — a repeated hot read skips parsing, planning,
         and SQL entirely.  Composes with ``replica`` (the tiered read
         path is cache -> replica -> SQL) and with ``shards``.  See
@@ -374,7 +391,7 @@ class ReproServer:
         self.engine: ShardedRDFStore | None = None
         self.replica: ReplicaManager | None = None
         # One app-level cache shared by every handler thread, keyed on
-        # the durable write_version (never the pooled readers' local
+        # durable versions (never the pooled readers' local
         # data_version counters, which are not comparable across
         # connections).  Survives stop()/start() cycles by design —
         # version keys are durable, so reuse is safe.
@@ -470,10 +487,7 @@ class ReproServer:
 
             def invalidate(store: RDFStore) -> None:
                 store.values.invalidate_cache()
-                if self.replica is not None:
-                    # The acquire-time data_version snoop saw a commit:
-                    # wake the refresher to re-check replica freshness.
-                    self.replica.note_commit()
+                store.models.invalidate_cache()
 
             self.pool = ConnectionPool(
                 self.config.path, size=self.config.workers,
@@ -591,6 +605,25 @@ class ReproServer:
         return normalized_key(query, models, rulebases, aliases,
                               filter_, order_by, limit)
 
+    @staticmethod
+    def _cache_version(spec: tuple, write_version: int,
+                       model_versions: dict[str, tuple[int, int]]):
+        """The version a cached answer to ``spec`` is valid at.
+
+        The ``(model_id, version)`` of each queried model, from
+        :func:`~repro.server.state.read_versions` on the query's own
+        snapshot: writes to other models leave the entry valid.  A
+        query naming rulebases keys on the global ``write_version``
+        instead — rules-index contents do not move model versions.
+        /match and /match/batch both key through here, so either can
+        serve what the other stored.
+        """
+        models, rulebases = spec[1], spec[2]
+        if rulebases:
+            return write_version
+        return tuple(model_versions.get(name)
+                     for name in sorted({m.lower() for m in models}))
+
     def _do_match(self, payload: dict,
                   meta: dict | None = None) -> tuple[int, dict]:
         spec = self._match_spec(payload)
@@ -614,13 +647,19 @@ class ReproServer:
                 # a progress-handler watchdog that aborts the query SQL
                 # the moment the budget runs out.  The cache probe runs
                 # inside the same transaction, so a hit is provably the
-                # snapshot named by ``version`` — the entry was stored
-                # under this exact write_version.
+                # snapshot named by ``version``: the entry was stored
+                # under the queried models' versions at this snapshot.
                 with database.deadline_scope(deadline) as guard:
                     with database.transaction():
-                        version = read_write_version(database)
-                        if cache_key is not None:
-                            cached = cache.lookup(cache_key, version)
+                        if cache_key is None:
+                            version = read_write_version(database)
+                        else:
+                            version, model_versions = read_versions(
+                                database, () if rulebases else models)
+                            cache_version = self._cache_version(
+                                spec, version, model_versions)
+                            cached = cache.lookup(cache_key,
+                                                  cache_version)
                         if cached is None:
                             rows = sdo_rdf_match(
                                 store, query, models,
@@ -650,12 +689,7 @@ class ReproServer:
                 request.annotate("rows", cached.count)
                 request.annotate("data_version", version)
                 request.annotate("engine", "cache")
-            if cached.hit_body is None:
-                cached.hit_body = json.dumps(
-                    {"rows": cached.rows, "count": cached.count,
-                     "data_version": version,
-                     "cached": True}).encode("utf-8")
-            return 200, cached.hit_body
+            return 200, cached.hit_body(version)
         rows_payload = [row.as_dict() for row in rows]
         if request is not None:
             request.annotate("rows", len(rows))
@@ -666,7 +700,7 @@ class ReproServer:
             "data_version": version,
         }
         if cache_key is not None:
-            cache.store(cache_key, version,
+            cache.store(cache_key, cache_version,
                         _CachedMatch(rows_payload, len(rows)),
                         nbytes=estimate_bytes(rows_payload) + 64)
             body["cached"] = False
@@ -701,13 +735,8 @@ class ReproServer:
                     request.annotate("data_version", version)
                     request.annotate("data_version_vector", vector)
                     request.annotate("engine", "cache")
-                if cached.hit_body is None:
-                    cached.hit_body = json.dumps(
-                        {"rows": cached.rows, "count": cached.count,
-                         "data_version": version,
-                         "data_version_vector": vector,
-                         "cached": True}).encode("utf-8")
-                return 200, cached.hit_body
+                return 200, cached.hit_body(
+                    version, {"data_version_vector": vector})
         rows = sdo_rdf_match(
             self.engine, query, models, rulebases=rulebases,
             aliases=aliases, filter=filter_, order_by=order_by,
@@ -796,10 +825,16 @@ class ReproServer:
                 # extended across the batch.
                 with database.deadline_scope(deadline) as guard:
                     with database.transaction():
-                        version = read_write_version(database)
+                        if cache is None:
+                            version = read_write_version(database)
+                            model_versions = {}
+                        else:
+                            version, model_versions = read_versions(
+                                database, _batch_models(raw))
                         for item in raw:
                             results.append(self._one_batch_query(
-                                store, item, version, cache))
+                                store, item, version, cache,
+                                model_versions))
             except DeadlineExceededError:
                 if guard is not None and guard.interrupted:
                     self.metrics.counter(
@@ -823,6 +858,7 @@ class ReproServer:
 
     def _one_batch_query(self, store: RDFStore, item: Any,
                          version: int, cache: ResultCache | None,
+                         model_versions: dict | None = None,
                          vector: tuple | None = None) -> dict:
         """One sub-query of a batch: answer or isolated error object.
 
@@ -840,8 +876,9 @@ class ReproServer:
                     "each batch entry must be a match object")
             spec = self._match_spec(item)
             cache_key = self._cache_key(spec)
-            cache_version = vector if vector is not None else version
             if cache_key is not None:
+                cache_version = vector if vector is not None else \
+                    self._cache_version(spec, version, model_versions)
                 cached = cache.lookup(cache_key, cache_version)
                 if cached is not None:
                     return {"rows": cached.rows,
@@ -1563,6 +1600,20 @@ def _route_label(path: str) -> str:
     if base.startswith("/debug/trace/"):
         return "debug_trace"
     return _ROUTE_LABELS.get(base, "other")
+
+
+def _batch_models(raw: list) -> set[str]:
+    """Every model name a batch's well-formed entries query.
+
+    The batch reads their versions once, at the top of its snapshot;
+    malformed entries are rejected later, by ``_match_spec``.
+    """
+    names: set[str] = set()
+    for item in raw:
+        models = item.get("models") if isinstance(item, dict) else None
+        if isinstance(models, list):
+            names.update(m for m in models if isinstance(m, str))
+    return names
 
 
 def _error(exc: Exception) -> dict:

@@ -32,7 +32,12 @@ import json
 import time
 from typing import Any
 
-from repro.core.schema import IDEMPOTENCY_SQL, IDEMPOTENCY_TABLE
+from repro.core.schema import (
+    IDEMPOTENCY_SQL,
+    IDEMPOTENCY_TABLE,
+    MODEL_TABLE,
+    MODEL_VERSION_TABLE,
+)
 from repro.db.connection import Database
 from repro.errors import StorageError
 
@@ -83,6 +88,37 @@ def read_write_version(database: Database) -> int:
             "WHERE id = 1", default=-1))
     except StorageError:
         return -1
+
+
+def read_versions(database: Database, model_names
+                  ) -> tuple[int, dict[str, tuple[int, int]]]:
+    """The write version and each named model's durable version.
+
+    One statement, read inside the query transaction like
+    :func:`read_write_version`: returns ``(write_version, {name:
+    (model_id, version)})`` with names lowercased as registered.  A
+    name with no model is left out.  The ``(model_id, version)`` pairs
+    key the server's result cache per model: a write to one model does
+    not move the key of a query over another, and a write by any
+    connection — the server's writer, the CLI, another process —
+    moves the key of the model it touched.
+    """
+    names = sorted({name.lower() for name in model_names})
+    placeholders = ", ".join("?" for _ in names)
+    rows = database.query_all(
+        "SELECT s.write_version, m.model_name, m.model_id, "
+        "IFNULL(v.version, 0) AS version "
+        f'FROM "{SERVE_STATE_TABLE}" AS s '
+        f'LEFT JOIN "{MODEL_TABLE}" AS m '
+        f"ON m.model_name IN ({placeholders}) "
+        f'LEFT JOIN "{MODEL_VERSION_TABLE}" AS v '
+        "ON v.model_id = m.model_id "
+        "WHERE s.id = 1", names)
+    if not rows:
+        return -1, {}
+    return int(rows[0]["write_version"]), {
+        row["model_name"]: (int(row["model_id"]), int(row["version"]))
+        for row in rows if row["model_id"] is not None}
 
 
 # ----------------------------------------------------------------------

@@ -35,6 +35,7 @@ class TestReplicaVerb:
         assert "2 partitions" in output
         assert "m: 2 triples" in output
         assert "(fresh)" in output
+        assert "built in" in output
 
     def test_warm_json(self, tmp_path):
         db_path = str(tmp_path / "r.db")

@@ -152,6 +152,81 @@ class TestFreshness:
         assert manager.counter("hits") >= 5
 
 
+class TestAmortisedRefresh:
+    """Fallback mode rebuilds a stale replica once its misses have
+    cost as much SQL time as its last build (the ski-rental rule)."""
+
+    QUERY = "(?s <urn:p> ?o)"
+
+    def stale_replica(self, loaded):
+        manager = ReplicaManager(refresh="fallback")
+        loaded.attach_replica(manager)
+        replica = manager.warm(loaded, "m")
+        loaded.insert_triple("m", "<urn:late>", "<urn:p>", "<urn:z>")
+        return manager, replica
+
+    def test_stale_misses_accrue_debt_before_queueing(self, loaded):
+        manager, replica = self.stale_replica(loaded)
+        replica.build_ms = 1e9  # a rebuild far dearer than any miss
+        debts = []
+        for _ in range(3):
+            rows = sdo_rdf_match(loaded, self.QUERY, ["m"])
+            assert len(rows) == 7
+            debts.append(replica.fallback_debt_ms)
+        assert 0 < debts[0] < debts[1] < debts[2]
+        assert manager.counter("misses") == 3
+        assert manager.status()["wanted"] == []
+        # Once the debt reaches the build cost, the next miss queues.
+        replica.build_ms = replica.fallback_debt_ms
+        sdo_rdf_match(loaded, self.QUERY, ["m"])
+        assert manager.status()["wanted"] == ["m"]
+
+    def test_rebuild_starts_a_fresh_debt(self, loaded):
+        manager, replica = self.stale_replica(loaded)
+        replica.build_ms = 0.0
+        sdo_rdf_match(loaded, self.QUERY, ["m"])
+        assert manager.status()["wanted"] == ["m"]
+        assert manager.refresh(loaded) == ["m"]
+        entry = manager.status(loaded)["models"]["m"]
+        assert entry["fallback_debt_ms"] == 0
+        assert entry["stale"] is False
+        assert manager.status()["wanted"] == []
+        assert len(sdo_rdf_match(loaded, self.QUERY, ["m"])) == 7
+        assert manager.counter("hits") == 1
+
+    def test_shape_fallbacks_are_not_billed(self, loaded):
+        manager, replica = self.stale_replica(loaded)
+        replica.build_ms = 0.0
+        chain = "(?s <urn:p> ?o) (?o <urn:q> ?x)"
+        sdo_rdf_match(loaded, chain, ["m"])
+        assert manager.counter("fallbacks") == 1
+        assert replica.fallback_debt_ms == 0
+        assert manager.status()["wanted"] == []
+
+    def test_evicted_partitions_are_billed(self, loaded):
+        manager = ReplicaManager(max_bytes=1, refresh="fallback")
+        loaded.attach_replica(manager)
+        replica = manager.warm(loaded, "m")
+        replica.build_ms = 1e9
+        assert len(sdo_rdf_match(loaded, self.QUERY, ["m"])) == 6
+        assert manager.counter("misses") == 1
+        assert replica.fallback_debt_ms > 0
+
+    def test_absent_replica_queues_on_first_miss(self, loaded):
+        manager = ReplicaManager(refresh="fallback")
+        loaded.attach_replica(manager)
+        sdo_rdf_match(loaded, self.QUERY, ["m"])
+        assert manager.status()["wanted"] == ["m"]
+
+    def test_status_reports_build_cost_and_debt(self, loaded):
+        manager, replica = self.stale_replica(loaded)
+        replica.build_ms = 1e9
+        sdo_rdf_match(loaded, self.QUERY, ["m"])
+        entry = manager.status()["models"]["m"]
+        assert entry["last_build_ms"] > 0
+        assert entry["fallback_debt_ms"] > 0
+
+
 class TestMemoryCap:
     def test_eviction_under_cap(self, loaded):
         manager = loaded.enable_replica(max_bytes=1)

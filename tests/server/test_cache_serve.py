@@ -12,6 +12,7 @@ import threading
 
 import pytest
 
+from repro.core.store import RDFStore
 from repro.db.faults import FaultInjector
 from repro.errors import ServerError, StorageError
 from repro.server.app import ReproServer, ServerConfig
@@ -110,6 +111,105 @@ class TestCacheServe:
         with pytest.raises(StorageError):
             ServerConfig(path=str(tmp_path / "x.db"),
                          result_cache_max_bytes=0)
+
+
+# ----------------------------------------------------------------------
+# per-model version keys
+# ----------------------------------------------------------------------
+
+class TestPerModelKeys:
+    def test_write_to_another_model_keeps_the_entry(self, client,
+                                                    server):
+        seed(client)
+        seed(client, model="other")
+        first = client.match("(?s <urn:p> ?o)", ["m"])
+        assert first["cached"] is False
+        client.insert("other", [["<urn:x>", "<urn:p>", "<urn:y>"]])
+        hit = client.match("(?s <urn:p> ?o)", ["m"])
+        assert hit["cached"] is True
+        assert hit["rows"] == first["rows"]
+        # The hit reports the snapshot it was read at, not the one
+        # the entry was filled at.
+        assert hit["data_version"] == first["data_version"] + 1
+        assert server.result_cache.stats()["invalidations"] == 0
+
+    def test_batch_keys_per_model_too(self, client):
+        seed(client)
+        seed(client, model="other")
+        client.match_batch([{"query": "(?s <urn:p> ?o)",
+                             "models": ["m"]}])
+        client.insert("other", [["<urn:x>", "<urn:p>", "<urn:y>"]])
+        batch = client.match_batch([
+            {"query": "(?s <urn:p> ?o)", "models": ["m"]},
+            {"query": "(?s <urn:p> ?o)", "models": ["other"]},
+        ])
+        assert batch["results"][0]["cached"] is True
+        assert batch["results"][1]["cached"] is False
+        assert batch["results"][1]["count"] == 4
+
+    def test_rulebase_queries_key_on_the_write_version(self):
+        spec = ("(?s <urn:p> ?o)", ["M", "other"], ["rdfs"], None,
+                None, None, None)
+        versions = {"m": (1, 4), "other": (2, 9)}
+        assert ReproServer._cache_version(spec, 17, versions) == 17
+        plain = spec[:2] + ([],) + spec[3:]
+        assert ReproServer._cache_version(plain, 17, versions) == \
+            ((1, 4), (2, 9))
+
+
+class TestOutOfBandWrites:
+    """Writes through another connection to the same file must reach
+    cached answers: the key is the durable per-model version, which
+    every write path bumps, not the server's own write counter."""
+
+    def test_insert_through_a_separate_store(self, tmp_path, server,
+                                             client):
+        seed(client)
+        client.match("(?s <urn:p> ?o)", ["m"])
+        assert client.match("(?s <urn:p> ?o)", ["m"])["cached"] is True
+        with RDFStore(server.config.path,
+                      durability="durable") as other:
+            other.insert_triple("m", "<urn:s9>", "<urn:p>", "<urn:o9>")
+        after = client.match("(?s <urn:p> ?o)", ["m"])
+        assert after["cached"] is False
+        assert after["count"] == 4
+        assert {"s": "urn:s9", "o": "urn:o9"} in after["rows"]
+
+    def test_model_dropped_and_recreated_elsewhere(self, tmp_path,
+                                                   server, client):
+        seed(client, model="other")
+        seed(client)
+        before = client.match("(?s <urn:p> ?o)", ["m"])
+        assert client.match("(?s <urn:p> ?o)", ["m"])["cached"] is True
+        with RDFStore(server.config.path,
+                      durability="durable") as other:
+            model_id = other.models.get("m").model_id
+            other.drop_model("m")
+            assert other.create_model("m").model_id == model_id
+            for serial in range(3):
+                other.insert_triple("m", f"<urn:n{serial}>", "<urn:p>",
+                                    f"<urn:o{serial}>")
+        after = client.match("(?s <urn:p> ?o)", ["m"])
+        assert after["cached"] is False
+        assert after["count"] == before["count"] == 3
+        assert sorted(row["s"] for row in after["rows"]) == \
+            ["urn:n0", "urn:n1", "urn:n2"]
+
+    def test_model_recreated_elsewhere_under_another_id(self, tmp_path,
+                                                        server, client):
+        seed(client, model="a")
+        seed(client, model="b")
+        client.match("(?s <urn:p> ?o)", ["b"])
+        with RDFStore(server.config.path,
+                      durability="durable") as other:
+            old_id = other.models.get("b").model_id
+            other.drop_model("a")
+            other.drop_model("b")
+            assert other.create_model("b").model_id != old_id
+            other.insert_triple("b", "<urn:new>", "<urn:p>", "<urn:y>")
+        after = client.match("(?s <urn:p> ?o)", ["b"])
+        assert after["rows"] == [{"s": "urn:new", "o": "urn:y"}]
+        assert client.match("(?s <urn:p> ?o)", ["b"])["cached"] is True
 
 
 # ----------------------------------------------------------------------

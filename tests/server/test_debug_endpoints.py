@@ -200,10 +200,17 @@ class TestDebugTrace:
 class TestBackpressureContext:
     def test_429_body_names_the_saturation(self, server, client):
         seed(client)
+        # Take every admission permit.  Blocking with a bound: the
+        # handler that answered seed() may not have released its
+        # permit yet, and a non-blocking drain would then leave one
+        # free and the request below would be admitted.
+        limit = server.config.workers + server.config.backlog
         permits = 0
-        while server._gate.acquire(blocking=False):
+        while permits < limit \
+                and server._gate.acquire(blocking=True, timeout=5.0):
             permits += 1
         try:
+            assert permits == limit
             status, headers, body = raw_request(
                 server, "POST", "/match",
                 body=json.dumps({"query": "(?s ?p ?o)",

@@ -79,11 +79,49 @@ class TestServeCycle:
             lambda: client.match("(?s <urn:p> ?o)", ["m"])["count"] == 2
             and manager.counter("hits") >= 1)
         # A write stales the replica; responses stay correct
-        # throughout, and the refresher catches up again.
+        # throughout, and the refresher catches up again once the
+        # fallback misses have paid for the rebuild — so keep reading
+        # while waiting.
         builds = manager.counter("builds")
         client.insert("m", [["<urn:c>", "<urn:p>", "<urn:d>"]])
         assert client.match("(?s <urn:p> ?o)", ["m"])["count"] == 3
-        assert _wait_for(lambda: manager.counter("builds") > builds)
+        assert _wait_for(
+            lambda: client.match("(?s <urn:p> ?o)", ["m"])["count"] == 3
+            and manager.counter("builds") > builds)
+
+    def test_writes_alone_never_rebuild(self, server, client):
+        client.insert("m", [["<urn:a>", "<urn:p>", "<urn:b>"]],
+                      create=True)
+        manager = server.replica
+        assert _wait_for(
+            lambda: client.match("(?s <urn:p> ?o)", ["m"])["count"] == 1
+            and manager.counter("hits") >= 1)
+        builds = manager.counter("builds")
+        for serial in range(5):
+            client.insert("m", [[f"<urn:w{serial}>", "<urn:p>",
+                                 "<urn:b>"]])
+        # Longer than the refresher's 0.5 s periodic wake: an unread
+        # stale replica stays as it is.
+        time.sleep(0.8)
+        assert manager.counter("builds") == builds
+        assert server.replica.status()["wanted"] == []
+
+    def test_stats_report_build_cost_and_fallback_debt(self, server,
+                                                       client):
+        client.insert("m", [["<urn:a>", "<urn:p>", "<urn:b>"]],
+                      create=True)
+        manager = server.replica
+        assert _wait_for(
+            lambda: client.match("(?s <urn:p> ?o)", ["m"])["count"] == 1
+            and manager.counter("hits") >= 1)
+        with manager._lock:
+            manager._replicas["m"].build_ms = 1e9  # never pays off
+        client.insert("m", [["<urn:c>", "<urn:p>", "<urn:d>"]])
+        assert client.match("(?s <urn:p> ?o)", ["m"])["count"] == 2
+        entry = client.stats()["replica"]["models"]["m"]
+        assert entry["last_build_ms"] == 1e9
+        assert entry["fallback_debt_ms"] > 0
+        assert entry["stale"] is True
 
     def test_stats_report_versions_and_replica(self, server, client):
         client.insert("m", [["<urn:a>", "<urn:p>", "<urn:b>"]],
